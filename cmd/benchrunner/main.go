@@ -825,11 +825,10 @@ type externalRow struct {
 	// The IO accounting of the fastest external trial: whether the file
 	// was memory-mapped (false = buffered fallback), the byte volumes,
 	// the decoded-shard residency watermark, and the decode/kernel
-	// overlap the double buffer won.
+	// overlap across the shard driver's lanes.
 	Mapped            bool    `json:"mapped"`
 	BytesMapped       int64   `json:"bytesMapped"`
 	BytesRead         int64   `json:"bytesRead"`
-	SpillBytes        int64   `json:"spillBytes"`
 	PeakResidentBytes int64   `json:"peakResidentBytes"`
 	OverlapMillis     float64 `json:"overlapMillis"`
 	// ByteIdentical is the suite's gate: the external subgraph's edge
@@ -961,7 +960,6 @@ func externalBench(out string, trials int) error {
 					row.Mapped = ex.Mapped
 					row.BytesMapped = ex.BytesMapped
 					row.BytesRead = ex.BytesRead
-					row.SpillBytes = ex.SpillBytes
 					row.PeakResidentBytes = ex.PeakResidentBytes
 					row.OverlapMillis = ex.OverlapMillis
 				}

@@ -65,7 +65,7 @@ func main() {
 		parts       = flag.Int("partition", 0, "use the distributed-style partitioned engine with this many partitions (plus cycle cleanup)")
 		shards      = flag.Int("shards", 0, "use the sharded engine with this many vertex-range shards (border edges reconciled chordality-preserving)")
 		stitchOnly  = flag.Bool("shard-stitch-only", false, "with -shards: reconcile border edges by spanning stitch only")
-		resident    = flag.Int("resident-shards", 0, "with -engine external: max shards resident in memory at once (0 = 2, the double-buffer minimum)")
+		resident    = flag.Int("resident-shards", 0, "with -engine external: max decoded shards resident in memory at once (0 = 2)")
 		maxDeferred = flag.Int("max-deferred", 0, "with -stream: bound on the deferred-edge queue; excess deltas drop with an overflow event (0 = unbounded)")
 		startV      = flag.Int("start", 0, "with -engine dearing: start vertex the incremental extraction grows from")
 		order       = flag.String("order", "", "with -engine elimination: elimination ordering, natural|mindeg (default mindeg)")
@@ -211,8 +211,8 @@ func main() {
 		if ex.Mapped {
 			mode = "mmap"
 		}
-		fmt.Printf("io (%s): %d bytes mapped, %d read, %d spilled; peak resident ~%d bytes; decode %.1fms, kernels %.1fms, overlap %.1fms\n",
-			mode, ex.BytesMapped, ex.BytesRead, ex.SpillBytes, ex.PeakResidentBytes,
+		fmt.Printf("io (%s): %d bytes mapped, %d read; peak resident ~%d bytes; decode %.1fms, kernels %.1fms, overlap %.1fms\n",
+			mode, ex.BytesMapped, ex.BytesRead, ex.PeakResidentBytes,
 			ex.DecodeMillis, ex.KernelMillis, ex.OverlapMillis)
 		if *iters {
 			fmt.Printf("%6s %12s %12s\n", "shard", "iters", "edges")

@@ -52,14 +52,13 @@ const (
 	// natural or greedy minimum-degree ordering). The result is chordal
 	// by construction but not necessarily maximal.
 	EngineElimination = "elimination"
-	// EngineExternal runs the out-of-core disk-shard driver
-	// (internal/extio): the input's binary CSR is mmap'd and decoded per
-	// vertex-range shard on demand, at most ResidentShards shards are
-	// held in memory, and per-shard edges spill to a temp file before the
-	// border reconciliation. Byte-identical to EngineSharded at equal
-	// shard counts; requires Shards >= 1. With a .bin file source the
-	// Runner skips the acquire stage entirely (see SourceEngine); other
-	// inputs are spilled to a temp .bin first.
+	// EngineExternal runs the shard driver out of core: the input's
+	// binary CSR is mmap'd (internal/extio) and decoded per vertex-range
+	// shard on demand, with at most ResidentShards decoded shards held
+	// in memory. Byte-identical to EngineSharded at equal shard counts;
+	// requires Shards >= 1. With a .bin file source the Runner skips the
+	// acquire stage entirely (see SourceEngine); an in-memory input runs
+	// through the same driver under the same residency bound.
 	EngineExternal = "external"
 	// EngineNone is not a registered Engine: it marks a Spec that stops
 	// after acquire/relabel (and optional write), extracting nothing.
@@ -380,8 +379,22 @@ func (shardedEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig) (*
 		return nil, err
 	}
 	tun := resolveTuning(&opts, g)
+	r, err := shard.ExtractContext(ctx, g, shardOptions(cfg, opts, tun, 0))
+	if err != nil {
+		return nil, err
+	}
+	sum := newShardSummary(r, g.NumEdges())
+	return &EngineResult{Subgraph: r.Subgraph, Shard: sum, Tuning: &tun}, nil
+}
+
+// shardOptions maps the spec onto the shard driver's options for the
+// sharded and external engines. resident bounds the decoded shards
+// alive at once (0: no bound beyond the worker count). It emits the
+// tuning event and forwards each shard's iterations to the observer.
+func shardOptions(cfg EngineConfig, opts Options, tun Tuning, resident int) shard.Options {
 	sOpts := shard.Options{
 		Shards:     cfg.Shards,
+		Resident:   resident,
 		Core:       opts,
 		StitchOnly: cfg.ShardStitchOnly,
 		Repair:     opts.RepairMaximality,
@@ -393,12 +406,7 @@ func (shardedEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig) (*
 			obs(newIterationEvent(&shardIdx, it))
 		}
 	}
-	r, err := shard.ExtractContext(ctx, g, sOpts)
-	if err != nil {
-		return nil, err
-	}
-	sum := newShardSummary(r, g.NumEdges())
-	return &EngineResult{Subgraph: r.Subgraph, Shard: sum, Tuning: &tun}, nil
+	return sOpts
 }
 
 // newShardSummary maps a shard.Result onto the report summary shared by

@@ -3,17 +3,20 @@ package chordal
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"chordal/internal/extio"
-	"chordal/internal/graph"
+	"chordal/internal/shard"
 )
 
-// externalEngine is the out-of-core strategy: extraction runs against a
-// binary-CSR file through internal/extio — adjacency decoded per
-// vertex-range shard on demand, a bounded number of shards resident,
-// per-shard edges spilled to disk — instead of against a resident
-// graph. Registered seventh; selected by Spec{Engine: "external"}.
+// defaultResidentShards is the external engine's residency bound when
+// EngineConfig.ResidentShards is unset.
+const defaultResidentShards = 2
+
+// externalEngine is the out-of-core strategy: the shard driver runs
+// against a binary-CSR file through internal/extio — adjacency decoded
+// per vertex-range shard on demand, at most ResidentShards decoded
+// shards alive at once — instead of against a resident graph.
+// Registered seventh; selected by Spec{Engine: "external"}.
 //
 // Identity: the engine reuses the canonical key's fixed shards= and
 // stitchonly= tokens (the same semantics-affecting knobs as the sharded
@@ -26,27 +29,23 @@ func (externalEngine) Name() string { return EngineExternal }
 
 // Extract implements Engine for callers that already hold the graph in
 // memory (Runner-injected inputs, generated sources, uploads): the
-// graph is spilled to a temp binary-CSR file and extraction proceeds
-// through the one disk-backed path, so every surface exercises the same
-// driver. True out-of-core runs enter through ExtractSource instead.
-func (e externalEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig) (*EngineResult, error) {
+// shard driver reads the graph directly, under the engine's residency
+// bound. True out-of-core runs enter through ExtractSource instead.
+func (externalEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig) (*EngineResult, error) {
 	if g == nil {
 		return nil, fmt.Errorf("chordal: external engine: nil graph")
 	}
-	f, err := os.CreateTemp("", "chordal-ext-*.bin")
+	opts, err := cfg.coreOptions()
 	if err != nil {
-		return nil, fmt.Errorf("chordal: external engine: creating temp input: %w", err)
-	}
-	path := f.Name()
-	defer os.Remove(path)
-	if err := graph.WriteBinary(f, g); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("chordal: external engine: spilling input: %w", err)
-	}
-	if err := f.Close(); err != nil {
 		return nil, err
 	}
-	return e.ExtractSource(ctx, path, cfg)
+	tun := resolveTuning(&opts, g)
+	resident := residentShards(cfg)
+	r, err := shard.ExtractContext(ctx, g, shardOptions(cfg, opts, tun, resident))
+	if err != nil {
+		return nil, err
+	}
+	return externalResult(r, g.NumEdges(), tun, resident), nil
 }
 
 // ExtractSource implements SourceEngine: extract straight from the
@@ -69,43 +68,45 @@ func (externalEngine) ExtractSource(ctx context.Context, path string, cfg Engine
 		return nil, err
 	}
 	tun := resolveTuningStats(&opts, stats.MaxDegree, stats.Vertices, stats.Edges)
-
-	xOpts := extio.Options{
-		Shards:     cfg.Shards,
-		Resident:   cfg.ResidentShards,
-		Core:       opts,
-		StitchOnly: cfg.ShardStitchOnly,
-		Repair:     opts.RepairMaximality,
-	}
-	if obs := cfg.Observer; obs != nil {
-		obs(newTuningEvent(tun))
-		xOpts.OnShardIteration = func(sh int, it IterationStats) {
-			shardIdx := sh
-			obs(newIterationEvent(&shardIdx, it))
-		}
-	}
-	r, err := extio.Extract(ctx, m, xOpts)
+	resident := residentShards(cfg)
+	startRead := m.BytesRead()
+	r, err := shard.Run(ctx, m, shardOptions(cfg, opts, tun, resident))
 	if err != nil {
 		return nil, err
 	}
-	sum := newShardSummary(&r.Result, stats.Edges)
-	ext := &ExternalSummary{
-		Mapped:            r.IO.Mapped,
-		BytesMapped:       r.IO.BytesMapped,
-		BytesRead:         r.IO.BytesRead,
-		SpillBytes:        r.IO.SpillBytes,
-		PeakResidentBytes: r.IO.PeakResident,
-		ResidentShards:    r.IO.Resident,
-		DecodeMillis:      durationMillis(r.IO.DecodeTime),
-		KernelMillis:      durationMillis(r.IO.KernelTime),
-		OverlapMillis:     durationMillis(r.IO.Overlap),
+	res := externalResult(r, stats.Edges, tun, resident)
+	res.External.Mapped = m.Mapped()
+	if m.Mapped() {
+		res.External.BytesMapped = m.SizeBytes()
 	}
+	res.External.BytesRead = m.BytesRead() - startRead
 	inputStats := Stats(stats)
+	res.InputStats = &inputStats
+	return res, nil
+}
+
+// residentShards is the residency bound of an external run.
+func residentShards(cfg EngineConfig) int {
+	if cfg.ResidentShards > 0 {
+		return cfg.ResidentShards
+	}
+	return defaultResidentShards
+}
+
+// externalResult maps a shard driver result onto the external engine's
+// EngineResult; the caller adds the file IO counters when there is a
+// file.
+func externalResult(r *shard.Result, inputEdges int64, tun Tuning, resident int) *EngineResult {
 	return &EngineResult{
-		Subgraph:   r.Subgraph,
-		Shard:      sum,
-		External:   ext,
-		Tuning:     &tun,
-		InputStats: &inputStats,
-	}, nil
+		Subgraph: r.Subgraph,
+		Shard:    newShardSummary(r, inputEdges),
+		External: &ExternalSummary{
+			PeakResidentBytes: r.PeakResident,
+			ResidentShards:    resident,
+			DecodeMillis:      durationMillis(r.Decode),
+			KernelMillis:      durationMillis(r.Kernel),
+			OverlapMillis:     durationMillis(r.Overlap),
+		},
+		Tuning: &tun,
+	}
 }

@@ -5,10 +5,9 @@ import "time"
 // This file defines the unified event stream of a run: one typed Event
 // carries every kind of progress notification — stage begin/end with
 // timing, extraction iterations (whole-graph and per-shard), and the
-// verify outcome — replacing the three per-kind callbacks the Pipeline
-// adapter still exposes (OnStage, OnIteration, OnShardIteration). The
-// service's SSE handler serializes Events directly: the Type is the SSE
-// event name and the marshaled Event is the data payload.
+// verify outcome. The service's SSE handler serializes Events directly:
+// the Type is the SSE event name and the marshaled Event is the data
+// payload.
 
 // EventType discriminates the kinds of Event a run emits.
 type EventType string

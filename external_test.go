@@ -22,12 +22,15 @@ var externalGridSources = []string{
 	"gse5140-crt:64:3",
 }
 
-// TestEngineExternalDifferentialGrid is the tentpole's acceptance
-// proof, library-level half: on every zoo source and shard count, the
-// external engine's subgraph is byte-identical to the sharded engine's
-// at equal partitions, both verify chordal, and the parallel engine on
-// the same input verifies chordal too (the cross-engine sanity leg).
-// Runs under -race in CI.
+// TestEngineExternalDifferentialGrid is the external engine's
+// acceptance proof, library-level half: on every zoo source, shard
+// count and residency bound, the external engine's subgraph is
+// byte-identical to the sharded engine's at equal partitions — both
+// from the in-memory graph and from a .bin file of it, so the grid
+// compares the disk decoder (extio.MappedCSR) against the in-memory
+// one. All of them verify chordal, and the parallel engine on the same
+// input verifies chordal too (the cross-engine sanity leg). Runs under
+// -race in CI.
 func TestEngineExternalDifferentialGrid(t *testing.T) {
 	for _, src := range externalGridSources {
 		src := src
@@ -38,6 +41,10 @@ func TestEngineExternalDifferentialGrid(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := acq.Input
+			bin := filepath.Join(t.TempDir(), "input.bin")
+			if err := chordal.SaveGraph(bin, g); err != nil {
+				t.Fatal(err)
+			}
 
 			par, err := chordal.Runner{Input: g}.Run(context.Background(),
 				chordal.Spec{Engine: chordal.EngineParallel, Verify: true})
@@ -76,6 +83,25 @@ func TestEngineExternalDifferentialGrid(t *testing.T) {
 					}
 					if ext.External == nil {
 						t.Fatal("external run missing ExternalSummary")
+					}
+					file, err := chordal.Spec{
+						Source:       bin,
+						Engine:       chordal.EngineExternal,
+						EngineConfig: chordal.EngineConfig{Shards: shards, ResidentShards: resident},
+						Verify:       true,
+					}.Run()
+					if err != nil {
+						t.Fatalf("external from .bin shards=%d resident=%d: %v", shards, resident, err)
+					}
+					if file.Input != nil || !file.ChordalOK {
+						t.Fatalf("shards=%d resident=%d: .bin run loaded the input (%t) or failed verification", shards, resident, file.Input != nil)
+					}
+					if !sameGraph(file.Subgraph, shd.Subgraph) {
+						t.Fatalf("shards=%d resident=%d: external from .bin differs from sharded (%d vs %d edges)",
+							shards, resident, file.Subgraph.NumEdges(), shd.Subgraph.NumEdges())
+					}
+					if file.External.BytesRead == 0 || file.External.PeakResidentBytes <= 0 {
+						t.Fatalf("shards=%d resident=%d: IO stats not accounted: %+v", shards, resident, file.External)
 					}
 					if ext.Shard == nil || ext.Shard.EdgeCut != shd.Shard.EdgeCut {
 						t.Fatalf("shards=%d: edge cut mismatch external=%v sharded=%v", shards, ext.Shard, shd.Shard)

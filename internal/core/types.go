@@ -196,7 +196,11 @@ type Result struct {
 	NumVertices int
 	// Edges is the chordal edge set EC.
 	Edges []Edge
-	// Iterations has one entry per while-loop iteration.
+	// Iterations has one entry per while-loop iteration. Under the
+	// dataflow schedule the edge set does not depend on the worker
+	// count, but with Workers > 1 the number of iterations depends on
+	// timing: a test chains through a parent only if that parent has
+	// already finalized. With one worker it is deterministic.
 	Iterations []IterationStats
 	// Variant is the code path actually used.
 	Variant Variant

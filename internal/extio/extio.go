@@ -11,10 +11,8 @@
 // reads exactly the byte ranges a decode needs. Both paths return
 // byte-identical results.
 //
-// Extract (driver.go) streams contiguous vertex-range shards through the
-// internal/shard per-shard kernel with a bounded number of shards
-// resident, spilling per-shard subgraph edges to a temp file and merging
-// them for the border reconciliation pass.
+// MappedCSR implements internal/shard's Input (NumVertices, Shard,
+// Edges), so the one shard driver, shard.Run, reads it directly.
 package extio
 
 import (
@@ -217,10 +215,15 @@ func (m *MappedCSR) adjacency(from, to int64, dst []int32) ([]int32, error) {
 // touching only that range's slice of the offsets and adjacency arrays.
 // Adjacency lists are sorted, matching what graph.InducedSubgraph (the
 // in-memory sharded engine's slicer) produces via the Builder — the
-// byte-identity of the external engine depends on this.
+// byte-identity of the external engine depends on this. The whole
+// vertex range decodes as Graph does, just as the in-memory adapter
+// hands a single-shard run the graph itself.
 func (m *MappedCSR) Shard(lo, hi int32) (*graph.Graph, error) {
 	if lo < 0 || int(hi) > m.n || lo > hi {
 		return nil, fmt.Errorf("extio: shard range [%d, %d) out of [0, %d)", lo, hi, m.n)
+	}
+	if lo == 0 && int(hi) == m.n {
+		return m.Graph()
 	}
 	span := int(hi - lo)
 	offs, err := m.Offsets(int(lo), int(hi), nil)
@@ -259,9 +262,7 @@ func (m *MappedCSR) Shard(lo, hi int32) (*graph.Graph, error) {
 }
 
 // Graph decodes the entire file into an in-memory graph, byte-identical
-// to graph.ReadBinary. The single-shard driver path uses it: with one
-// partition there is nothing to stream, and the in-memory sharded
-// engine likewise runs the kernel on the whole graph uncopied.
+// to graph.ReadBinary. Shard uses it for the whole vertex range.
 func (m *MappedCSR) Graph() (*graph.Graph, error) {
 	offs, err := m.Offsets(0, m.n, nil)
 	if err != nil {

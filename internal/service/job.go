@@ -66,8 +66,8 @@ type Metrics struct {
 	EdgeCut    int64   `json:"edgeCut,omitempty"`
 	EdgeCutPct float64 `json:"edgeCutPct,omitempty"`
 	// External carries the out-of-core engine's IO accounting (bytes
-	// mapped/read/spilled, peak resident estimate, decode/kernel
-	// overlap); nil for in-memory engines.
+	// mapped/read, peak resident decoded-shard bytes, decode/kernel
+	// times and overlap); nil for in-memory engines.
 	External *chordal.ExternalSummary `json:"external,omitempty"`
 	// Variant and Schedule are the code path and test-ordering
 	// discipline actually used.

@@ -68,9 +68,8 @@ type JobOptions struct {
 	// engine runs.
 	ShardStitchOnly bool `json:"shardStitchOnly,omitempty"`
 	// ResidentShards bounds how many decoded shards the external
-	// engine holds in memory at once (default 2, the double-buffer
-	// minimum). A residency knob, not identity: it never splits the
-	// canonical job key.
+	// engine holds in memory at once (default 2). A residency knob,
+	// not identity: it never splits the canonical job key.
 	ResidentShards int `json:"residentShards,omitempty"`
 	// MaxDeferred bounds a stream session's deferred-edge queue;
 	// deltas past the bound drop with an overflow event. 0 (default)

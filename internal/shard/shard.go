@@ -1,10 +1,14 @@
 // Package shard implements sharded extraction: Algorithm 1 runs
 // independently on vertex-range shards of the input, and the per-shard
 // chordal subgraphs are reconciled into one chordal subgraph of the
-// whole graph. This is the architectural step toward inputs larger
-// than one node's memory — each shard's extraction touches only the
-// shard-induced subgraph, so the full worklist state never needs to be
-// resident at once.
+// whole graph. Each shard's extraction touches only the shard-induced
+// subgraph, so the full worklist state never needs to be resident at
+// once.
+//
+// Run is the one shard driver. It reads any Input — an in-memory graph
+// (the sharded engine) or extio's disk-backed CSR (the external
+// engine) — so both engines share one orchestration and produce the
+// same bytes at equal shard counts.
 //
 // # Reconciliation
 //
@@ -58,12 +62,16 @@ type Options struct {
 	// clamped to [1, NumVertices]. One shard degenerates to a plain
 	// core extraction (no border edges exist).
 	Shards int
+	// Resident, when > 0, bounds how many decoded shards are alive at
+	// once: Run uses at most Resident lanes. 0 leaves the lane count at
+	// min(Shards, Core.Workers). It never changes the edge set.
+	Resident int
 	// Core configures the per-shard extraction kernels. Core.Workers is
-	// the total worker budget for the whole sharded run — shards run
-	// concurrently and divide it, so a budget-leased job never exceeds
-	// its lease no matter how many shards it asked for. Core.Schedule
-	// should stay ScheduleDataflow when byte-identical output across
-	// worker counts matters.
+	// the total worker budget for the whole sharded run — lanes run
+	// shards concurrently and divide it, so a budget-leased job never
+	// exceeds its lease no matter how many shards it asked for.
+	// Core.Schedule should stay ScheduleDataflow when byte-identical
+	// output across worker counts matters.
 	Core core.Options
 	// StitchOnly restricts border reconciliation to the spanning
 	// stitch: only bridges join the merged subgraph and all other
@@ -127,6 +135,19 @@ type Result struct {
 	// subgraph; it must always be true and exists as a self-check of
 	// the reconciliation argument.
 	Chordal bool
+	// Lanes is the number of goroutines that ran the shards.
+	Lanes int
+	// PeakResident is the high-water mark of decoded shard bytes
+	// (graph.Graph.SizeBytes) alive at once — the quantity Resident
+	// bounds.
+	PeakResident int64
+	// Decode and Kernel sum the shards' decode and kernel wall-clock
+	// times over all lanes; Overlap is how much of that sum ran
+	// concurrently (Decode + Kernel minus the shard phase's wall-clock,
+	// clamped at 0; about 0 with one lane).
+	Decode  time.Duration
+	Kernel  time.Duration
+	Overlap time.Duration
 	// Total is the wall-clock time of the whole sharded extraction.
 	Total time.Duration
 }
@@ -134,79 +155,157 @@ type Result struct {
 // NumChordalEdges returns the merged chordal edge count.
 func (r *Result) NumChordalEdges() int { return len(r.Edges) }
 
-// EdgeStream iterates every undirected input edge exactly once as
-// (u, v) with u < v, in ascending-u, adjacency-position order — the
-// order graph.Graph.Edges produces. Reconcile's admission sequence (and
-// therefore the merged edge set) is a function of this order, so any
-// alternative input representation (extio's disk-backed CSR) must
-// reproduce it exactly to stay byte-identical with the in-memory path.
-// A stream may be consumed more than once and must replay identically.
-type EdgeStream func(fn func(u, v int32)) error
-
-// GraphEdges adapts an in-memory graph to an EdgeStream.
-func GraphEdges(g *graph.Graph) EdgeStream {
-	return func(fn func(u, v int32)) error {
-		g.Edges(fn)
-		return nil
-	}
+// Input is what the driver reads a sharded run from. Shard decodes the
+// induced subgraph of the contiguous vertex range [lo, hi) with local
+// ids (global id = lo + local id) and sorted adjacency, exactly as
+// graph.InducedSubgraph builds it. Edges iterates every undirected edge
+// once as (u, v) with u < v, in ascending-u, adjacency-position order —
+// the order graph.Graph.Edges produces. The border passes' admission
+// sequence, and therefore the merged edge set, is a function of that
+// order, so every Input must reproduce it exactly, and a second call
+// must replay it identically. extio.MappedCSR is an Input; an in-memory
+// graph is adapted by ExtractContext.
+type Input interface {
+	NumVertices() int
+	Shard(lo, hi int32) (*graph.Graph, error)
+	Edges(fn func(u, v int32)) error
 }
 
-// Extract runs a sharded extraction with a background context.
+// memory adapts an in-memory graph to Input.
+type memory struct{ g *graph.Graph }
+
+func (m memory) NumVertices() int { return m.g.NumVertices() }
+
+// Shard returns the graph itself for the whole vertex range, so a
+// single-shard run skips the copy, and the induced subgraph otherwise.
+func (m memory) Shard(lo, hi int32) (*graph.Graph, error) {
+	if lo == 0 && int(hi) == m.g.NumVertices() {
+		return m.g, nil
+	}
+	ids := make([]int32, 0, hi-lo)
+	for v := lo; v < hi; v++ {
+		ids = append(ids, v)
+	}
+	sub, _ := m.g.InducedSubgraph(ids)
+	return sub, nil
+}
+
+func (m memory) Edges(fn func(u, v int32)) error {
+	m.g.Edges(fn)
+	return nil
+}
+
+// Extract runs a sharded extraction of g with a background context.
 func Extract(g *graph.Graph, opts Options) (*Result, error) {
 	return ExtractContext(context.Background(), g, opts)
 }
 
-// ExtractContext runs a sharded extraction under ctx: partition the
-// vertex range, extract per shard concurrently within the worker
-// budget, reconcile border edges, and verify the merged subgraph.
-// Cancellation is observed between shards' iterations and between the
-// merge phases; the first error returned after cancellation is
-// ctx.Err(), with no goroutines left behind.
+// ExtractContext runs a sharded extraction of the in-memory graph g
+// under ctx; see Run.
 func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	if g == nil {
 		return nil, fmt.Errorf("shard: nil graph")
 	}
+	return Run(ctx, memory{g}, opts)
+}
+
+// Run is the shard driver: partition the vertex range, extract every
+// shard within the worker budget, reconcile border edges, and verify
+// the merged subgraph.
+//
+// The shards run on lanes = min(shards, workers, Resident if > 0)
+// goroutines with workers/lanes kernel workers each. A lane takes the
+// next shard index, decodes the shard from in, runs core.ExtractContext
+// on it, and stores the shard's edges at its index, so at most lanes
+// decoded shards are alive at once. The stored edge sets are merged in
+// index order, which makes the result independent of which lane ran
+// which shard. Cancellation is observed between shards, between the
+// kernel's iterations and between the merge phases; the first error
+// returned after cancellation is ctx.Err(), with no goroutines left
+// behind.
+func Run(ctx context.Context, in Input, opts Options) (*Result, error) {
 	start := time.Now()
-	n := g.NumVertices()
+	n := in.NumVertices()
 	parts := 1
 	if n > 0 {
 		parts = partition.ClampParts(n, opts.Shards)
 	}
 	workers := parallel.WorkerCount(opts.Core.Workers)
-	conc := parts
-	if conc > workers {
-		conc = workers
+	lanes := min(parts, workers)
+	if opts.Resident > 0 {
+		lanes = min(lanes, opts.Resident)
 	}
-	perShard := workers / conc
-	if perShard < 1 {
-		perShard = 1
+	perLane := max(workers/lanes, 1)
+
+	res := &Result{NumVertices: n, Shards: make([]ShardStat, parts), Lanes: lanes}
+	var (
+		shardEdges = make([][]core.Edge, parts)
+		mu         sync.Mutex // guards firstErr, resident and the timing sums
+		firstErr   error
+		resident   int64
+	)
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		mu.Unlock()
 	}
+	phase := time.Now()
+	parallel.For(parts, lanes, 1, func(_, p int) {
+		mu.Lock()
+		stop := firstErr != nil
+		mu.Unlock()
+		if stop {
+			return
+		}
+		if err := ctx.Err(); err != nil {
+			fail(err)
+			return
+		}
+		lo, hi := partition.Bounds(n, parts, p)
+		dt := time.Now()
+		sub, err := in.Shard(lo, hi)
+		decode := time.Since(dt)
+		if err != nil {
+			fail(err)
+			return
+		}
+		size := sub.SizeBytes()
+		mu.Lock()
+		res.Decode += decode
+		resident += size
+		res.PeakResident = max(res.PeakResident, resident)
+		mu.Unlock()
 
-	res := &Result{NumVertices: n, Shards: make([]ShardStat, parts)}
-
-	// Per-shard kernels. The per-shard options disable the kernel's own
-	// post-passes: stitching and repair are global decisions made after
-	// the merge, where the reconciled edge set is known.
-	runShard := func(p int, sub *graph.Graph, remap func(int32) int32) ([]core.Edge, error) {
+		// The per-shard options disable the kernel's own post-passes:
+		// stitching and repair are global decisions made after the
+		// merge, where the reconciled edge set is known.
 		co := opts.Core
-		co.Workers = perShard
+		co.Workers = perLane
 		co.RepairMaximality = false
 		co.StitchComponents = false
 		co.OnEvent = nil
 		co.OnIteration = nil
 		if opts.OnShardIteration != nil {
-			co.OnIteration = func(it core.IterationStats) {
-				opts.OnShardIteration(p, it)
-			}
+			co.OnIteration = func(it core.IterationStats) { opts.OnShardIteration(p, it) }
 		}
+		kt := time.Now()
 		r, err := core.ExtractContext(ctx, sub, co)
+		kernel := time.Since(kt)
+		mu.Lock()
+		res.Kernel += kernel
+		resident -= size
+		mu.Unlock()
 		if err != nil {
-			return nil, err
+			fail(err)
+			return
 		}
 		edges := make([]core.Edge, len(r.Edges))
 		for i, e := range r.Edges {
-			edges[i] = core.Edge{U: remap(e.U), V: remap(e.V)}
+			edges[i] = core.Edge{U: lo + e.U, V: lo + e.V}
 		}
+		shardEdges[p] = edges
 		res.Shards[p] = ShardStat{
 			Shard:         p,
 			Vertices:      sub.NumVertices(),
@@ -215,47 +314,11 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 			Iterations:    len(r.Iterations),
 			Duration:      r.Total,
 		}
-		return edges, nil
+	})
+	if firstErr != nil {
+		return nil, firstErr
 	}
-
-	var (
-		shardEdges = make([][]core.Edge, parts)
-		errMu      sync.Mutex
-		firstErr   error
-	)
-	if parts == 1 {
-		// Single shard: the induced subgraph is the graph itself — skip
-		// the copy and run the kernel directly.
-		edges, err := runShard(0, g, func(v int32) int32 { return v })
-		if err != nil {
-			return nil, err
-		}
-		shardEdges[0] = edges
-	} else {
-		parallel.For(parts, conc, 1, func(_, p int) {
-			lo, hi := partition.Bounds(n, parts, p)
-			ids := make([]int32, 0, hi-lo)
-			for v := lo; v < hi; v++ {
-				ids = append(ids, v)
-			}
-			// The keep set is a contiguous ascending range, so local id
-			// i maps back to lo+i.
-			sub, _ := g.InducedSubgraph(ids)
-			edges, err := runShard(p, sub, func(v int32) int32 { return lo + v })
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			shardEdges[p] = edges
-		})
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	}
+	res.Overlap = max(res.Decode+res.Kernel-time.Since(phase), 0)
 
 	total := 0
 	for _, es := range shardEdges {
@@ -269,25 +332,26 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 		return nil, err
 	}
 
-	if err := res.Reconcile(ctx, GraphEdges(g), parts, opts); err != nil {
+	if err := res.reconcile(ctx, in, parts, opts); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	res.Finalize(opts.Core.Workers)
+	res.finalize(opts.Core.Workers)
 	res.Total = time.Since(start)
 	return res, nil
 }
 
-// Reconcile performs the border passes: spanning stitch, optional exact
-// border admission, and the optional full repair. It appends to
-// res.Edges and fills the border counters. The per-shard edge sets must
-// already be merged into res.Edges in shard index order. An error from
-// the edge stream is returned as-is; cancellation aborts silently and is
-// surfaced by the caller's own ctx check, as before the stream refactor.
-func (res *Result) Reconcile(ctx context.Context, edges EdgeStream, parts int, opts Options) error {
+// reconcile performs the border passes over in's edge stream: spanning
+// stitch, optional exact border admission, and the optional full
+// repair. It appends to res.Edges and fills the border counters. The
+// per-shard edge sets must already be merged into res.Edges in shard
+// index order. An error from the edge stream is returned as-is;
+// cancellation aborts silently and is surfaced by the caller's own ctx
+// check.
+func (res *Result) reconcile(ctx context.Context, in Input, parts int, opts Options) error {
 	n := res.NumVertices
 	partOf := partition.PartOf(n, max(parts, 1))
 
@@ -300,7 +364,7 @@ func (res *Result) Reconcile(ctx context.Context, edges EdgeStream, parts int, o
 		uf.Union(e.U, e.V)
 	}
 	var deferred []core.Edge
-	err := edges(func(u, v int32) {
+	err := in.Edges(func(u, v int32) {
 		border := parts > 1 && partOf(u) != partOf(v)
 		if border {
 			res.BorderTotal++
@@ -367,7 +431,7 @@ func (res *Result) Reconcile(ctx context.Context, edges EdgeStream, parts int, o
 	if opts.Repair {
 		m.ResetDeferred() // rebuild the queue in edge-stream scan order
 		scanned, aborted := 0, false
-		err := edges(func(u, v int32) {
+		err := in.Edges(func(u, v int32) {
 			if aborted {
 				return
 			}
@@ -395,11 +459,10 @@ func (res *Result) Reconcile(ctx context.Context, edges EdgeStream, parts int, o
 	return nil
 }
 
-// Finalize sorts the merged edge set into the canonical (U, V) order,
+// finalize sorts the merged edge set into the canonical (U, V) order,
 // materializes Subgraph within the given worker bound, and runs the
-// chordality self-check. Callers that assemble a Result outside
-// ExtractContext (the out-of-core driver) call it after Reconcile.
-func (res *Result) Finalize(workers int) {
+// chordality self-check.
+func (res *Result) finalize(workers int) {
 	sortEdges(res.Edges)
 	us := make([]int32, len(res.Edges))
 	vs := make([]int32, len(res.Edges))

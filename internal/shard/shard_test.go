@@ -8,6 +8,7 @@ import (
 
 	"chordal/internal/core"
 	"chordal/internal/graph"
+	"chordal/internal/parallel"
 	"chordal/internal/rmat"
 	"chordal/internal/synth"
 	"chordal/internal/verify"
@@ -107,6 +108,40 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 			}
 			if !reflect.DeepEqual(res.Edges, base.Edges) {
 				t.Fatalf("shards=%d workers=%d: edge set differs from workers=1", shards, workers)
+			}
+		}
+	}
+}
+
+// TestLanesFollowResidency pins the driver's concurrency rule, lanes =
+// min(shards, workers, Resident if > 0), and that the residency bound
+// never changes the edge set.
+func TestLanesFollowResidency(t *testing.T) {
+	g := rmatG(t, 9)
+	base, err := Extract(g, Options{Shards: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, resident := range []int{0, 1, 2, 8} {
+			opts := Options{Shards: 6, Resident: resident}
+			opts.Core.Workers = workers
+			res, err := Extract(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := min(6, parallel.WorkerCount(workers))
+			if resident > 0 {
+				want = min(want, resident)
+			}
+			if res.Lanes != want {
+				t.Fatalf("workers=%d resident=%d: %d lanes, want %d", workers, resident, res.Lanes, want)
+			}
+			if res.PeakResident <= 0 {
+				t.Fatalf("workers=%d resident=%d: peak resident %d", workers, resident, res.PeakResident)
+			}
+			if !reflect.DeepEqual(res.Edges, base.Edges) {
+				t.Fatalf("workers=%d resident=%d: edge set differs", workers, resident)
 			}
 		}
 	}

@@ -1,10 +1,14 @@
 package chordal
 
+import "time"
+
 // This file defines the machine-readable summary of a finished run:
 // one JSON object carrying the normalized spec, its canonical identity,
 // input statistics, the engine summary, the verify outcome, and
 // per-stage timings. `chordal -json` emits it on stdout so benchrunner
-// and CI consume runs without scraping text.
+// and CI consume runs without scraping text. PipelineResult, the
+// in-memory result of Runner.Run that a RunReport summarizes, and the
+// per-engine summaries it shares with EngineResult live here too.
 
 // ReportInput describes the acquired (and possibly relabeled) input
 // graph in a RunReport.
@@ -26,7 +30,8 @@ type ReportExtraction struct {
 	EdgesKeptPct float64 `json:"edgesKeptPct"`
 	// Iterations is the extract loop's iteration count (parallel
 	// whole-graph engine; sharded runs report per-shard counts in
-	// Shard instead).
+	// Shard instead). With more than one worker it depends on timing,
+	// even though the edge set does not; see Result.Iterations.
 	Iterations int `json:"iterations,omitempty"`
 	// Variant and Schedule are the code path and test ordering actually
 	// used by the parallel engine.
@@ -255,4 +260,149 @@ func Report(s Spec, res *PipelineResult) (RunReport, error) {
 		rep.TotalMillis += ms
 	}
 	return rep, nil
+}
+
+// PartitionSummary reports the partitioned-baseline stage.
+type PartitionSummary struct {
+	// Parts is the partition count used.
+	Parts int `json:"parts"`
+	// InteriorEdges and BorderAdmitted count edges kept inside parts and
+	// across the border; CleanupRemoved/CleanupRounds report the cycle
+	// cleanup pass.
+	InteriorEdges  int `json:"interiorEdges"`
+	BorderAdmitted int `json:"borderAdmitted"`
+	CleanupRemoved int `json:"cleanupRemoved"`
+	CleanupRounds  int `json:"cleanupRounds"`
+}
+
+// ShardSummary reports the sharded extraction stage: how the input was
+// split, what each shard's kernel did, and how the border was
+// reconciled.
+type ShardSummary struct {
+	// Shards is the shard count actually used (after clamping).
+	Shards int `json:"shards"`
+	// PerShardIterations and PerShardEdges have one entry per shard:
+	// the kernel's iteration count and chordal edge count.
+	PerShardIterations []int `json:"perShardIterations"`
+	PerShardEdges      []int `json:"perShardEdges"`
+	// InteriorEdges is the merged per-shard chordal edge total before
+	// border reconciliation.
+	InteriorEdges int `json:"interiorEdges"`
+	// BorderTotal is the number of input edges crossing shards;
+	// StitchedEdges counts spanning-stitch additions (BorderBridges the
+	// cross-shard subset); BorderAdmitted counts border edges admitted
+	// by the exact chordality-preserving pass; RepairedEdges counts the
+	// merged repair pass additions.
+	BorderTotal    int `json:"borderTotal"`
+	StitchedEdges  int `json:"stitchedEdges"`
+	BorderBridges  int `json:"borderBridges"`
+	BorderAdmitted int `json:"borderAdmitted"`
+	RepairedEdges  int `json:"repairedEdges"`
+	// EdgeCut is the number of input edges crossing the contiguous-range
+	// partition (partition.CutEdges; equal to BorderTotal, typed for the
+	// report), and EdgeCutPct the same as a percentage of the input's
+	// edges — the border-reconciliation cost a smarter partitioner would
+	// shrink.
+	EdgeCut    int64   `json:"edgeCut"`
+	EdgeCutPct float64 `json:"edgeCutPct"`
+	// Chordal is the shard stage's own verification of the merged
+	// subgraph (always expected true; a self-check of reconciliation).
+	Chordal bool `json:"chordal"`
+}
+
+// ExternalSummary reports the out-of-core engine's IO behavior: how the
+// input was read, how much of it was resident at peak, and how the
+// shard driver's lanes spent their time.
+type ExternalSummary struct {
+	// Mapped reports whether the input file was memory-mapped;
+	// BytesMapped is the mapped file size (0 when the buffered fallback
+	// reader served the run).
+	Mapped      bool  `json:"mapped"`
+	BytesMapped int64 `json:"bytesMapped"`
+	// BytesRead is the total bytes decoded from the input file across
+	// shard decodes and the edge-stream reconciliation passes (0 for an
+	// in-memory input).
+	BytesRead int64 `json:"bytesRead"`
+	// PeakResidentBytes is the high-water mark of decoded shard CSR
+	// bytes held in memory at once — the quantity ResidentShards
+	// bounds. The border reconciliation's own state (the merged edge
+	// set, union-find and admission maintainer) is not included.
+	PeakResidentBytes int64 `json:"peakResidentBytes"`
+	// ResidentShards is the residency bound the run used (after
+	// defaulting).
+	ResidentShards int `json:"residentShards"`
+	// DecodeMillis and KernelMillis are the shard decode and kernel
+	// wall-clock times summed over the driver's lanes; OverlapMillis is
+	// how much of that sum ran concurrently on different lanes (about 0
+	// with one lane, where the shards run back to back).
+	DecodeMillis  float64 `json:"decodeMillis"`
+	KernelMillis  float64 `json:"kernelMillis"`
+	OverlapMillis float64 `json:"overlapMillis"`
+}
+
+// DearingSummary reports the dearing engine run.
+type DearingSummary struct {
+	// Start is the start vertex the incremental extraction grew from.
+	Start int `json:"start"`
+}
+
+// EliminationSummary reports the elimination engine run.
+type EliminationSummary struct {
+	// Order is the elimination ordering used (OrderNatural or
+	// OrderMinDegree).
+	Order string `json:"order"`
+}
+
+// StageTiming is the wall-clock duration of one pipeline stage.
+type StageTiming struct {
+	// Stage is the stage name; Duration its wall-clock time.
+	Stage    string
+	Duration time.Duration
+}
+
+// PipelineResult carries the outputs of every stage that ran.
+type PipelineResult struct {
+	// Input is the acquired (and possibly relabeled) graph.
+	Input *Graph
+	// InputStats are the Table-I statistics of Input.
+	InputStats Stats
+	// Subgraph is the extracted chordal subgraph, nil when no
+	// extraction stage ran.
+	Subgraph *Graph
+	// Extraction is the parallel extraction result (nil for the serial
+	// and partitioned baselines).
+	Extraction *Result
+	// SerialDuration is the serial baseline's runtime, when used.
+	SerialDuration time.Duration
+	// Partition summarizes the partitioned baseline, when used.
+	Partition *PartitionSummary
+	// Shard summarizes the sharded extraction, when used.
+	Shard *ShardSummary
+	// Dearing summarizes the dearing engine run, when used.
+	Dearing *DearingSummary
+	// Elimination summarizes the elimination engine run, when used.
+	Elimination *EliminationSummary
+	// External summarizes the out-of-core engine's IO, when used. On its
+	// no-acquire path Input stays nil and InputStats comes from the file.
+	External *ExternalSummary
+	// Tuning is the resolved kernel tuning of the extract stage; nil
+	// when no extraction ran or the engine has no tunable kernels.
+	Tuning *Tuning
+	// Verified reports whether the verify stage ran; ChordalOK whether
+	// the subgraph passed the chordality check.
+	Verified  bool
+	ChordalOK bool
+	// MaximalityAudited reports whether the bounded maximality audit
+	// ran (it is skipped on large inputs); ReAddableEdges is the number
+	// of audit violations found (0 means maximal as far as audited).
+	MaximalityAudited bool
+	ReAddableEdges    int
+	// Quality scores the extracted subgraph against the input (edge
+	// retention, fill-in under the subgraph's PEO, treewidth and
+	// chromatic number); nil when no subgraph was extracted, the
+	// subgraph failed verification, or the input exceeded the default
+	// quality bounds.
+	Quality *Quality
+	// Timings records per-stage wall-clock durations in stage order.
+	Timings []StageTiming
 }

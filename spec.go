@@ -65,10 +65,9 @@ type EngineConfig struct {
 	// identities.
 	ShardStitchOnly bool `json:"shardStitchOnly,omitempty"`
 	// ResidentShards bounds how many decoded shards the external engine
-	// holds in memory at once (the one being extracted plus prefetch);
-	// <= 0 defaults to 2, the minimum that overlaps IO with extraction.
-	// Excluded from Canonical: a pure residency/speed knob, it never
-	// changes the edge set.
+	// holds in memory at once: the shard driver runs at most this many
+	// lanes. <= 0 defaults to 2. Excluded from Canonical: a pure
+	// residency/speed knob, it never changes the edge set.
 	ResidentShards int `json:"residentShards,omitempty"`
 	// MaxDeferred bounds a streaming session's deferred queue; when the
 	// bound is reached, newly rejected edges are dropped with an
@@ -92,22 +91,11 @@ type EngineConfig struct {
 	// Observer receives the run's event stream. Runtime-only: excluded
 	// from JSON and from Canonical.
 	Observer Observer `json:"-"`
-	// Core, when non-nil, seeds the kernel options with advanced
-	// settings the declarative fields do not cover (UnsortedQueue,
-	// OnEvent, chained OnIteration). The declarative fields then
-	// override their counterparts. Runtime-only escape hatch used by
-	// the deprecated Pipeline adapter; excluded from JSON and from
-	// Canonical.
-	Core *Options `json:"-"`
 }
 
-// coreOptions resolves the declarative fields onto the kernel options,
-// starting from the Core escape hatch when present.
+// coreOptions resolves the declarative fields onto the kernel options.
 func (c EngineConfig) coreOptions() (Options, error) {
 	var o Options
-	if c.Core != nil {
-		o = *c.Core
-	}
 	var err error
 	if o.Variant, err = ParseVariant(c.Variant); err != nil {
 		return o, err

@@ -199,6 +199,7 @@ func TestSpecValidationErrors(t *testing.T) {
 	}{
 		{"unknown engine", chordal.Spec{Source: "gnm:10:20", Engine: "warp"}, "unknown engine"},
 		{"serial+shards", chordal.Spec{Source: "gnm:10:20", Engine: "serial", EngineConfig: chordal.EngineConfig{Shards: 4}}, "conflict"},
+		{"serial+partitions", chordal.Spec{Source: "gnm:10:20", Engine: "serial", EngineConfig: chordal.EngineConfig{Partitions: 2}}, "conflict"},
 		{"parallel+partitions", chordal.Spec{Source: "gnm:10:20", Engine: "parallel", EngineConfig: chordal.EngineConfig{Partitions: 2}}, "conflict"},
 		{"partitions+shards", chordal.Spec{Source: "gnm:10:20", EngineConfig: chordal.EngineConfig{Partitions: 2, Shards: 4}}, "conflict"},
 		{"sharded without shards", chordal.Spec{Source: "gnm:10:20", Engine: "sharded"}, "shards >= 1"},
@@ -402,52 +403,6 @@ func isSubgraphOf(sub, g *chordal.Graph) bool {
 		}
 	}
 	return true
-}
-
-// TestSpecRunMatchesPipeline pins the adapter: the deprecated Pipeline
-// and the Spec it compiles to produce byte-identical subgraphs.
-func TestSpecRunMatchesPipeline(t *testing.T) {
-	p := chordal.Pipeline{
-		Source:  "rmat-g:9:5",
-		Relabel: chordal.RelabelBFS,
-		Extract: true,
-		Options: chordal.Options{RepairMaximality: true},
-		Verify:  true,
-	}
-	want, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := p.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Subgraph.Offsets, want.Subgraph.Offsets) ||
-		!reflect.DeepEqual(got.Subgraph.Adj, want.Subgraph.Adj) {
-		t.Error("Spec.Run subgraph differs from Pipeline.Run")
-	}
-	if !got.ChordalOK || got.ReAddableEdges != want.ReAddableEdges {
-		t.Errorf("verify outcome differs: %+v vs %+v", got, want)
-	}
-}
-
-// TestPipelineConflictErrors pins that the adapter inherits validation:
-// the mode combinations that used to resolve by silent precedence now
-// fail loudly.
-func TestPipelineConflictErrors(t *testing.T) {
-	for _, p := range []chordal.Pipeline{
-		{Source: "gnm:100:300", Serial: true, Shards: 4},
-		{Source: "gnm:100:300", Serial: true, Partitions: 2},
-		{Source: "gnm:100:300", Partitions: 2, Shards: 4},
-	} {
-		if _, err := p.Run(); err == nil || !strings.Contains(err.Error(), "conflict") {
-			t.Errorf("Pipeline %+v: err %v, want engine conflict", p, err)
-		}
-	}
 }
 
 // TestObserverEventStream checks the unified stream end to end: stage
