@@ -52,6 +52,16 @@ import (
 	"chordal/internal/service"
 )
 
+// Connection timeouts. Only the header read and keep-alive idle time
+// are bounded: a client that trickles its request headers or parks an
+// idle connection cannot hold a socket open indefinitely. Bodies and
+// responses stay unbounded, because uploads can be large and event
+// streams last as long as their job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
@@ -88,7 +98,12 @@ func main() {
 		},
 		Tenants: tenants,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: svc}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           svc,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -14,7 +14,9 @@
 // fixpoint retest that closes the paper's Theorem 2 maximality gap
 // (DESIGN.md §5): a rejected edge can become addable after later
 // admissions, so deferred edges are retested until a pass admits
-// nothing.
+// nothing. Repair is incremental: a rejected {u, v} can only become
+// addable once u or v gains an edge, so a pass retests only the queued
+// edges with such an endpoint.
 //
 // Every other admission site in the repository — verify.CanAddEdge, the
 // shard border reconciliation, the core repair post-pass, and the
@@ -217,8 +219,19 @@ type Maintainer struct {
 	// from growing the queue linearly, so once the cap is reached new
 	// rejections are dropped with ReasonOverflow instead of queued.
 	maxDeferred int
-	edges       int
-	threshold   int
+	// edges doubles as the edge-addition clock: edges are never removed,
+	// so the count after an addition names it. stamp[x] is the clock of
+	// the last edge added at x, and every queued edge was found
+	// inadmissible at some clock at or after checked — so a queued edge
+	// whose endpoints both carry stamps <= checked is still inadmissible
+	// (see RepairContext).
+	edges     int
+	stamp     []int
+	checked   int
+	threshold int
+	// retests counts the separator checks Repair has run; tests use it
+	// to pin that unchanged edges are skipped.
+	retests int
 }
 
 // New returns a Maintainer over an empty subgraph of n vertices.
@@ -230,6 +243,7 @@ func New(n, threshold int) *Maintainer {
 		checker:    NewChecker(n, threshold),
 		uf:         make([]int32, n),
 		ufSize:     make([]int32, n),
+		stamp:      make([]int, n),
 		inDeferred: make(map[int64]struct{}),
 		threshold:  threshold,
 	}
@@ -248,8 +262,10 @@ func New(n, threshold int) *Maintainer {
 func (m *Maintainer) Seed(u, v int32) {
 	m.adj[u] = append(m.adj[u], v)
 	m.adj[v] = append(m.adj[v], u)
+	m.checker.Invalidate()
 	m.union(u, v)
 	m.edges++
+	m.stamp[u], m.stamp[v] = m.edges, m.edges
 }
 
 // Vertices returns the universe size.
@@ -318,6 +334,7 @@ func (m *Maintainer) Grow(n int) {
 		m.uf = append(m.uf, int32(i))
 		m.ufSize = append(m.ufSize, 1)
 	}
+	m.stamp = append(m.stamp, make([]int, n-len(m.stamp))...)
 	m.checker = NewChecker(n, m.threshold)
 }
 
@@ -383,41 +400,63 @@ func (m *Maintainer) admit(u, v int32, deferOnReject bool) (bool, Reason) {
 }
 
 // add records an accepted edge: adjacency on both sides, component
-// union, and invalidation of the checker's cached neighborhood (the
-// lists it marked just grew).
+// union, endpoint stamps, and invalidation of the checker's cached
+// neighborhood (the lists it marked just grew).
 func (m *Maintainer) add(u, v int32) {
 	m.adj[u] = append(m.adj[u], v)
 	m.adj[v] = append(m.adj[v], u)
 	m.checker.Invalidate()
 	m.union(u, v)
 	m.edges++
+	m.stamp[u], m.stamp[v] = m.edges, m.edges
 }
 
 // Repair retests the deferred queue until a full pass admits nothing,
 // returning the edges admitted in admission order. This is the fixpoint
 // that closes the Theorem 2 maximality gap: after Repair, no deferred
 // edge can be added to the maintained subgraph without breaking
-// chordality.
+// chordality. Only edges with an endpoint that gained an edge since
+// their last rejection are retested, so a Repair after a few admissions
+// costs a queue scan plus the retests around those admissions, not a
+// separator check per queued edge.
 func (m *Maintainer) Repair() []Edge {
 	admitted, _ := m.RepairContext(context.Background())
 	return admitted
 }
 
 // RepairContext is Repair under a context: cancellation is observed
-// every few hundred retests, returning the edges admitted so far with
-// ctx.Err(). Queue order is preserved across passes, so the admission
-// sequence is deterministic for a given deferral order.
+// every few hundred queue slots, returning the edges admitted so far
+// with ctx.Err(). Queue order is preserved across passes, so the
+// admission sequence is deterministic for a given deferral order.
+//
+// Skipping is exact. A rejected {u, v} has a u–v path that avoids
+// N(u) ∩ N(v); an edge added elsewhere keeps that path and leaves
+// N(u) ∩ N(v) unchanged, so {u, v} stays inadmissible until u or v
+// gains an edge. Each pass therefore retests an edge only if an
+// endpoint's stamp is newer than checked, the clock at which every
+// queued edge was last known inadmissible: the clock at the end of the
+// previous Repair for the first pass, the clock at the start of the
+// previous pass after that. A cancelled pass leaves checked at its own
+// threshold, since it left slots untested. The admitted sequence, the
+// queue order, and the outcome of every call are those of retesting
+// every slot on every pass.
 func (m *Maintainer) RepairContext(ctx context.Context) ([]Edge, error) {
 	var admitted []Edge
 	tested := 0
 	for changed := true; changed; {
 		changed = false
+		since, start := m.checked, m.edges
 		rest := m.deferred[:0]
 		for _, e := range m.deferred {
 			if tested++; tested%256 == 0 && ctx.Err() != nil {
 				rest = append(rest, e)
 				continue
 			}
+			if m.stamp[e.U] <= since && m.stamp[e.V] <= since {
+				rest = append(rest, e) // no endpoint gained an edge: still rejected
+				continue
+			}
+			m.retests++
 			ok, _ := m.admit(e.U, e.V, false)
 			if ok {
 				delete(m.inDeferred, int64(e.U)<<32|int64(e.V))
@@ -431,6 +470,7 @@ func (m *Maintainer) RepairContext(ctx context.Context) ([]Edge, error) {
 		if err := ctx.Err(); err != nil {
 			return admitted, err
 		}
+		m.checked = start
 	}
 	return admitted, nil
 }

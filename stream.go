@@ -274,6 +274,9 @@ func (s *Stream) Push(ctx context.Context, u, v int32) (StreamDelta, error) {
 // Repair retests the deferred queue until a pass admits nothing,
 // emitting an admit event (reason "repaired") per re-admitted edge and
 // one repair summary event. It returns how many edges were admitted.
+// Only deferred edges with an endpoint that gained an edge since their
+// last test are retested, so frequent repairs cost little more than a
+// scan of the queue.
 func (s *Stream) Repair(ctx context.Context) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -10,8 +10,10 @@ import (
 
 // FuzzStream feeds arbitrary byte streams through the NDJSON delta
 // parser into a live session: whatever the bytes, the session must not
-// panic, and after every repair pass the maintained subgraph must be
-// chordal. Malformed lines are skipped exactly as the CLI and service
+// panic, and after the final repair the maintained subgraph must be a
+// maximal chordal subgraph of the accumulated input — chordality alone
+// would not catch a deferred edge that Repair failed to retest.
+// Malformed lines are skipped exactly as the CLI and service
 // skip them; the vertex cap keeps hostile ids from allocating the id
 // space.
 func FuzzStream(f *testing.F) {
@@ -49,7 +51,8 @@ func FuzzStream(f *testing.F) {
 		if _, err := s.Repair(ctx); err != nil {
 			t.Fatal(err)
 		}
-		// The maintained (online) subgraph must be chordal after repair.
+		// The maintained (online) subgraph must be chordal after repair,
+		// and maximal in the input once Close has accumulated it.
 		edges := s.Maintained()
 		us := make([]int32, len(edges))
 		vs := make([]int32, len(edges))
@@ -57,12 +60,16 @@ func FuzzStream(f *testing.F) {
 			us[i], vs[i] = e.U, e.V
 		}
 		st := s.Stats()
-		if sub := chordal.BuildFromEdges(st.Vertices, us, vs); !chordal.IsChordal(sub) {
+		maintained := chordal.BuildFromEdges(st.Vertices, us, vs)
+		if !chordal.IsChordal(maintained) {
 			t.Fatalf("maintained subgraph not chordal after repair (%d edges)", len(edges))
 		}
 		res, err := s.Close(ctx)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !chordal.IsMaximalChordal(res.Input, maintained) {
+			t.Fatalf("maintained subgraph not maximal in the input after repair (%d edges)", len(edges))
 		}
 		if !chordal.IsChordal(res.Subgraph) {
 			t.Fatal("canonical close result not chordal")
